@@ -3,20 +3,28 @@
 At 96,000 nodes faults are routine; the checkpoint interval trades steady-
 state overhead against work lost per failure. This bench crashes a run at
 a fixed step under several intervals and reports the recomputed steps,
-verifies the recovered trajectory matches an undisturbed run, and sweeps
-the node MTBF through the elastic supervisor to chart goodput/availability
-against failure rate (T7c).
+verifies the recovered trajectory matches an undisturbed run (T7/T7b run
+the supervisor with shrinking off: plain full-width checkpoint-restart),
+and sweeps the node MTBF through the elastic supervisor to chart
+goodput/availability against failure rate (T7c).
 """
 
 import numpy as np
 
 from repro.models import tiny_config
-from repro.parallel import ResilientRunConfig, run_resilient_training
 from repro.resilience import ElasticRunConfig, Supervisor
 from repro.simmpi import FaultModel, FaultPlan
 
 CFG = tiny_config(num_experts=4)
 TOTAL = 8
+
+
+def restart_cfg(**kw) -> ElasticRunConfig:
+    """Full-width checkpoint-restart on world 4 / ep 2 (no shrinking)."""
+    return ElasticRunConfig(
+        model=CFG, world_size=4, ep_size=2, batch_size=2, seq_len=8,
+        elastic=False, corpus_predictability=0.9, **kw,
+    )
 
 # Op index that lands the kill around training step ~5 of the first launch
 # (measured for this model/batch configuration).
@@ -27,15 +35,13 @@ def test_t7_interval_vs_lost_work(benchmark, report, tmp_path):
     def measure():
         rows = []
         for interval in (1, 2, 4):
-            cfg = ResilientRunConfig(
-                model=CFG, world_size=4, ep_size=2, total_steps=TOTAL,
-                checkpoint_every=interval,
-                checkpoint_dir=tmp_path / f"ival{interval}",
-                batch_size=2, seq_len=8, seed=7,
+            cfg = restart_cfg(
+                total_steps=TOTAL, checkpoint_every=interval,
+                checkpoint_dir=tmp_path / f"ival{interval}", seed=7,
             )
-            res = run_resilient_training(
+            res = Supervisor(
                 cfg, fault_plans=[FaultPlan().kill_rank(1, at_op=KILL_AT_OP), None]
-            )
+            ).run()
             # Steps recomputed = steps the surviving segment replayed that
             # the crashed attempt had already processed (upper-bounded by
             # the interval).
@@ -65,21 +71,19 @@ def test_t7_recovery_is_exact(benchmark, report, tmp_path):
     """Crash+restore reproduces the healthy trajectory bit-for-bit."""
 
     def measure():
-        healthy = run_resilient_training(
-            ResilientRunConfig(
-                model=CFG, world_size=4, ep_size=2, total_steps=6,
-                checkpoint_every=2, checkpoint_dir=tmp_path / "healthy",
-                batch_size=2, seq_len=8, seed=9,
+        healthy = Supervisor(
+            restart_cfg(
+                total_steps=6, checkpoint_every=2,
+                checkpoint_dir=tmp_path / "healthy", seed=9,
             )
-        )
-        faulted = run_resilient_training(
-            ResilientRunConfig(
-                model=CFG, world_size=4, ep_size=2, total_steps=6,
-                checkpoint_every=2, checkpoint_dir=tmp_path / "faulted",
-                batch_size=2, seq_len=8, seed=9,
+        ).run()
+        faulted = Supervisor(
+            restart_cfg(
+                total_steps=6, checkpoint_every=2,
+                checkpoint_dir=tmp_path / "faulted", seed=9,
             ),
             fault_plans=[FaultPlan().kill_rank(2, at_op=100), None],
-        )
+        ).run()
         overlap = healthy.losses[faulted.first_step:]
         worst = float(np.abs(np.array(overlap) - np.array(faulted.losses)).max())
         return [

@@ -5,7 +5,8 @@ Trains the same configuration twice:
 
 1. a healthy run to completion;
 2. a run whose rank 1 is killed mid-training by an injected fault — the
-   driver restarts the world from the last sharded checkpoint and resumes.
+   supervisor (shrinking off: plain full-width checkpoint-restart)
+   relaunches the world from the last sharded checkpoint and resumes.
 
 Because training is deterministic end to end (derived seeds everywhere),
 the recovered trajectory matches the healthy one exactly — printed side by
@@ -18,10 +19,8 @@ Run:  python examples/fault_tolerance.py
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from repro.models import tiny_config
-from repro.parallel import ResilientRunConfig, run_resilient_training
+from repro.resilience import ElasticRunConfig, Supervisor
 from repro.simmpi import FaultPlan
 
 CFG = tiny_config(num_experts=4)
@@ -29,14 +28,15 @@ STEPS = 8
 
 
 def run(workdir: Path, faults=None):
-    return run_resilient_training(
-        ResilientRunConfig(
+    return Supervisor(
+        ElasticRunConfig(
             model=CFG, world_size=4, ep_size=2, total_steps=STEPS,
             checkpoint_every=2, checkpoint_dir=workdir,
             batch_size=4, seq_len=8, seed=13,
+            elastic=False, corpus_predictability=0.9,
         ),
         fault_plans=faults,
-    )
+    ).run()
 
 
 def main() -> None:
@@ -60,7 +60,7 @@ def main() -> None:
             print(f"{step:5d} {healthy.losses[step]:9.4f} {loss:10.4f}")
 
         overlap = healthy.losses[faulted.first_step:]
-        assert np.allclose(overlap, faulted.losses, atol=1e-6)
+        assert overlap == faulted.losses
         print("\nOK — the recovered trajectory matches the healthy run exactly")
 
 

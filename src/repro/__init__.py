@@ -30,7 +30,7 @@ paper-vs-measured record.
 
 import warnings
 
-__version__ = "1.2.0"
+__version__ = "1.3.0"
 
 #: Root conveniences kept alive as deprecation shims -> repro.api.
 _DEPRECATED_ROOT_EXPORTS = (

@@ -436,44 +436,39 @@ def _cmd_distributed(args: argparse.Namespace) -> int:
               f"({len(result.trace)} events)")
     print(f"simulated step time: {format_time(result.step_time)}")
     print(f"load imbalance     : {result.load_imbalance:.2f}")
+    # Phase seconds are rank 0's whole-run totals; print them per step.
     for phase, seconds in result.phase_seconds.items():
-        print(f"  phase {phase:<10}: {format_time(seconds)}")
+        print(f"  phase {phase:<10}: {format_time(seconds / args.steps)} per step")
     print(f"traffic            : {format_bytes(result.traffic['total_bytes'])}")
     return 0
 
 
 def _cmd_3d(args: argparse.Namespace) -> int:
-    from repro.data import ShardedLoader
-    from repro.network import sunway_network
-    from repro.parallel import Trainer3D, build_groups3d
-    from repro.simmpi import run_spmd
-    from repro.train import Adam
+    from repro.parallel import TrainingRunConfig, run_distributed_training
 
     cfg = _CONFIGS[args.config]()
     if cfg.num_experts % args.ep != 0:
         cfg = cfg.scaled(num_experts=args.ep * max(cfg.num_experts // args.ep, 1))
-
-    def program(comm):
-        groups = build_groups3d(comm, pipe_size=args.pipe, ep_size=args.ep)
-        trainer = Trainer3D(cfg, groups, num_microbatches=args.microbatches,
-                            seed=args.seed)
-        trainer.attach_optimizer(Adam(trainer.stage.parameters(), lr=3e-3))
-        corpus = SyntheticCorpus(vocab_size=cfg.vocab_size, predictability=0.9,
-                                 seed=args.seed)
-        loader = ShardedLoader(corpus, args.batch_size, args.seq_len,
-                               dp_rank=groups.pipeline_id,
-                               dp_size=groups.grid.plane_size)
-        return [trainer.train_step(loader.get_batch(s)).global_loss
-                for s in range(args.steps)]
-
+    run_cfg = TrainingRunConfig(
+        model=cfg,
+        world_size=args.world,
+        ep_size=args.ep,
+        pp_size=args.pipe,
+        num_steps=args.steps,
+        batch_size=args.batch_size,
+        seq_len=args.seq_len,
+        num_microbatches=args.microbatches,
+        seed=args.seed,
+        corpus_predictability=0.9,
+        model_compute_time=False,
+    )
     print(f"3D grid: pipe={args.pipe} x dp="
           f"{args.world // args.pipe // args.ep} x ep={args.ep} "
           f"on {args.world} simulated ranks")
-    res = run_spmd(program, args.world, network=sunway_network(args.world),
-                   timeout=600)
-    for step, loss in enumerate(res.returns[0]):
+    result = run_distributed_training(run_cfg)
+    for step, loss in enumerate(result.losses):
         print(f"  step {step:3d}  global loss {loss:.4f}")
-    print(f"simulated time: {format_time(res.simulated_time)}")
+    print(f"simulated time: {format_time(result.simulated_time)}")
     return 0
 
 

@@ -33,7 +33,6 @@ from repro.parallel.pipeline import (
     pipeline_bubble_fraction,
     stage_bounds,
 )
-from repro.parallel.resilient import ResilientRunConfig, ResilientRunResult, run_resilient_training
 from repro.parallel.tp import (
     ColumnParallelLinear,
     RowParallelLinear,
@@ -91,9 +90,6 @@ __all__ = [
     "RowParallelLinear",
     "TensorParallelMLP",
     "shard_linear_weights",
-    "ResilientRunConfig",
-    "ResilientRunResult",
-    "run_resilient_training",
     "TrainingRunConfig",
     "TrainingRunResult",
     "run_distributed_training",

@@ -14,7 +14,7 @@ This module wires everything together for one rank of an SPMD program:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -27,7 +27,9 @@ from repro.models.transformer import MoELanguageModel
 from repro.parallel.dp import (
     allreduce_gradients,
     broadcast_parameters,
+    flatten_grads,
     iallreduce_gradients,
+    unflatten_grads,
 )
 from repro.parallel.ep import DistributedMoELayer
 from repro.parallel.groups import MoDaGroups
@@ -117,7 +119,12 @@ class MoDaTrainer:
     3. allreduce expert gradients over ``groups.edp`` (average);
     4. *global* overflow agreement (max-allreduce of the local flag) so
        every rank skips or steps together;
-    5. optimizer step with the scaler's inverse scale.
+    5. optimizer step with the scaler's inverse scale;
+    6. world allreduce of the loss.
+
+    This is the only in-plane step: the strategy registry's dp/ep/moda/
+    tp/zero trainers and the elastic driver all run it (steps 1-3 repeat
+    per microbatch when one optimizer step accumulates several).
     """
 
     def __init__(
@@ -133,6 +140,7 @@ class MoDaTrainer:
         overlap_grad_sync: bool = False,
         grad_sync_buckets: int = 1,
         backward_compute_hook: Callable[[], None] | None = None,
+        forward_compute_hook: Callable[[], None] | None = None,
     ):
         if grad_sync_buckets < 1:
             raise ConfigError(
@@ -153,6 +161,9 @@ class MoDaTrainer:
         self.overlap_grad_sync = overlap_grad_sync
         self.grad_sync_buckets = grad_sync_buckets
         self.backward_compute_hook = backward_compute_hook
+        #: Called before each microbatch's forward; the strategy layer uses
+        #: it to advance the modelled dense compute on the virtual clock.
+        self.forward_compute_hook = forward_compute_hook
         self.step_count = 0
         self.history: list[MoDaStepResult] = []
         self.dense_params, self.expert_params = split_params(model)
@@ -234,30 +245,79 @@ class MoDaTrainer:
             "perplexity": float(np.exp(min(global_mean, 50.0))),
         }
 
-    def train_step(self, batch: Batch) -> MoDaStepResult:
-        """Run one synchronous distributed step on this rank's batch."""
-        groups = self.groups
+    def _fold_carry_gradients(self, carry: dict[str, np.ndarray]) -> dict[str, int]:
+        """One accumulation microstep of :meth:`train_step` (``k > 1``).
+
+        Every sync group allreduces its flat gradient; group rank 0 adds
+        the partial sum ``carry`` holds from earlier microsteps, so the
+        chained folds associate like one ``k``-times-wider fold.
+        """
+        moved = {}
+        for label, params, comm in self.sync_groups:
+            flat = flatten_grads(params)
+            if label in carry and comm.rank == 0:
+                flat = carry[label] + flat
+            moved[label] = 0
+            if comm.size > 1:  # like allreduce_gradients: no size-1 collective
+                moved[label] = int(flat.nbytes)
+                flat = comm.allreduce(flat, algorithm=self.allreduce_algorithm)
+            carry[label] = flat
+        return moved
+
+    def train_step(
+        self, *microbatches: Batch, divisors: Mapping[str, float] | None = None
+    ) -> MoDaStepResult:
+        """Run one synchronous optimizer step over this rank's microbatches.
+
+        One batch is the plain MoDa step. ``k > 1`` microbatches accumulate
+        by *fold-carry*: the simulated allreduce left-folds contributions
+        in group-rank order, so carrying the partial sum through group rank
+        0 reproduces the fold of a world ``k`` times as wide, bit for bit
+        (this is how :mod:`repro.resilience.elastic` replays the full world
+        on a shrunken one). Each group's sum is then divided by
+        ``divisors[label]``, the *logical* group size (default ``k`` times
+        the communicator size), and the summed loss by ``divisors["dense"]``.
+        One microbatch always averages over the communicator sizes.
+        """
+        if not microbatches:
+            raise ConfigError("train_step needs at least one microbatch")
+        k = len(microbatches)
+        if divisors is None:
+            divisors = {label: k * comm.size for label, _, comm in self.sync_groups}
+        world = self.groups.world
         lr = self.schedule(self.step_count)
         self.optimizer.lr = lr
-        self.model.zero_grad()
+        scale = self.scaler.scale if self.scaler is not None else 1.0
 
         # Virtual-clock phase breakdown (seconds of simulated time).
-        t0 = groups.world.clock
-        loss = self.model.loss(batch.tokens, batch.targets)
-        loss_value = float(loss.item())
-        t_forward = groups.world.clock - t0
+        t_forward = t_backward = t_grad_sync = 0.0
+        local_losses: list[float] = []
+        carry: dict[str, np.ndarray] = {}
+        for batch in microbatches:
+            self.model.zero_grad()
+            if self.forward_compute_hook is not None:
+                self.forward_compute_hook()
+            t0 = world.clock
+            loss = self.model.loss(batch.tokens, batch.targets)
+            local_losses.append(float(loss.item()))
+            t_forward += world.clock - t0
 
-        scale = self.scaler.scale if self.scaler is not None else 1.0
-        t1 = groups.world.clock
-        loss.backward(np.asarray(scale, dtype=loss.data.dtype))
-        t_backward = groups.world.clock - t1
+            t1 = world.clock
+            loss.backward(np.asarray(scale, dtype=loss.data.dtype))
+            t_backward += world.clock - t1
 
-        t2 = groups.world.clock
-        if self.overlap_grad_sync:
-            sync_bytes = self._sync_gradients_overlapped()
-        else:
-            sync_bytes = self._sync_gradients()
-        t_grad_sync = groups.world.clock - t2
+            t2 = world.clock
+            if k > 1:
+                sync_bytes = self._fold_carry_gradients(carry)
+            elif self.overlap_grad_sync:
+                sync_bytes = self._sync_gradients_overlapped()
+            else:
+                sync_bytes = self._sync_gradients()
+            t_grad_sync += world.clock - t2
+        if k > 1:
+            for label, params, _ in self.sync_groups:
+                unflatten_grads(params, carry[label] / divisors[label])
+            sync_bytes = {label: k * n for label, n in sync_bytes.items()}
 
         local_overflow = (
             1.0
@@ -265,7 +325,7 @@ class MoDaTrainer:
             else 0.0
         )
         # All ranks must agree on the skip decision (expert shards differ).
-        overflow = bool(groups.world.allreduce(local_overflow, op=MAX) > 0)
+        overflow = bool(world.allreduce(local_overflow, op=MAX) > 0)
 
         inv = 1.0 / scale
         skipped = False
@@ -282,13 +342,19 @@ class MoDaTrainer:
             if self.scaler is not None:
                 self.scaler.update(found_overflow=False)
 
-        global_loss = float(groups.world.allreduce(loss_value)) / groups.world.size
+        # The loss folds like the gradients: one world allreduce per
+        # microstep, rank 0 carrying the running sum.
+        loss_sum = 0.0
+        for m, value in enumerate(local_losses):
+            mine = loss_sum + value if m > 0 and world.rank == 0 else value
+            loss_sum = float(world.allreduce(mine))
+        global_loss = loss_sum / divisors["dense"]
 
         # Report the phase breakdown into the run's instrumentation spine
         # (only rank 0 of the world group, so totals aren't multiplied by
         # the world size).
-        context = groups.world.context
-        if groups.world.rank == 0:
+        context = world.context
+        if world.rank == 0:
             context.add_phase("forward", t_forward)
             context.add_phase("backward", t_backward)
             context.add_phase("grad_sync", t_grad_sync)
@@ -303,7 +369,7 @@ class MoDaTrainer:
                 extras[f"{label}_sync_bytes"] = float(nbytes)
         result = MoDaStepResult(
             step=self.step_count,
-            loss=loss_value,
+            loss=local_losses[-1],
             global_loss=global_loss,
             lr=lr,
             grad_norm=grad_norm,

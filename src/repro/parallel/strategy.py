@@ -436,30 +436,26 @@ def strategy_for_layout(layout: ParallelLayout) -> ParallelStrategy:
 
 
 class _PlaneTrainer(RankTrainer):
-    """Adapter: drives a (Hybrid/MoDa) trainer through the step protocol."""
+    """Adapter: drives a (Hybrid/MoDa) trainer through the step protocol.
 
-    def __init__(self, trainer: MoDaTrainer, model, loader, timer, comm, tokens,
-                 strategy_name: str = "plane", overlap: bool = False):
+    Each step reads one batch per loader: one loader is the plain step,
+    ``k`` loaders are ``k`` accumulation microsteps whose gradient sums
+    divide by ``divisors`` (see :meth:`MoDaTrainer.train_step`).
+    """
+
+    def __init__(self, trainer: MoDaTrainer, model, loaders, comm,
+                 strategy_name: str = "plane",
+                 divisors: dict[str, float] | None = None):
         self.strategy_name = strategy_name
         self.trainer = trainer
         self.model = model
-        self.loader = loader
-        self.timer = timer
+        self.loaders = loaders
         self.comm = comm
-        self.tokens = tokens
-        #: When overlapping, only the forward share of the modelled dense
-        #: compute is advanced up front; the backward share is advanced by
-        #: the trainer's ``backward_compute_hook`` while the bucketed
-        #: gradient allreduces are in flight (so sync hides behind it).
-        self.overlap = overlap
+        self.divisors = divisors
 
     def train_step(self, step: int) -> StepOutcome:
-        if self.timer is not None:
-            if self.overlap:
-                self.comm.advance(self.timer.dense_forward_time(self.tokens))
-            else:
-                self.comm.advance(self.timer.dense_step_time(self.tokens))
-        res = self.trainer.train_step(self.loader.get_batch(step))
+        batches = [loader.get_batch(step) for loader in self.loaders]
+        res = self.trainer.train_step(*batches, divisors=self.divisors)
         outcome = StepOutcome(
             loss=res.loss,
             global_loss=res.global_loss,
@@ -484,12 +480,20 @@ class _PlaneStrategy(ParallelStrategy):
                 comm.advance(timer.expert_layer_time(rows))
 
         overlap = cfg.overlap_chunks > 1
+        tokens = cfg.batch_size * cfg.seq_len
+
+        def forward_hook() -> None:
+            # When overlapping, only the forward share of the modelled dense
+            # compute is advanced up front; backward_hook advances the
+            # backward share while the bucketed gradient allreduces are in
+            # flight (so sync hides behind it).
+            if overlap:
+                comm.advance(timer.dense_forward_time(tokens))
+            else:
+                comm.advance(timer.dense_step_time(tokens))
 
         def backward_hook() -> None:
-            if timer is not None:
-                comm.advance(
-                    timer.dense_backward_time(cfg.batch_size * cfg.seq_len)
-                )
+            comm.advance(timer.dense_backward_time(tokens))
 
         hybrid = build_hybrid_groups(comm, layout)
         model = build_hybrid_model(
@@ -520,6 +524,7 @@ class _PlaneStrategy(ParallelStrategy):
             backward_compute_hook=(
                 backward_hook if overlap and timer is not None else None
             ),
+            forward_compute_hook=forward_hook if timer is not None else None,
         )
         r = comm.rank
         data_rank = layout.dp_index_of(r) * layout.ep_size + layout.ep_rank_of(r)
@@ -527,10 +532,7 @@ class _PlaneStrategy(ParallelStrategy):
             self._corpus(cfg), cfg.batch_size, cfg.seq_len,
             dp_rank=data_rank, dp_size=layout.data_streams,
         )
-        return _PlaneTrainer(
-            trainer, model, loader, timer, comm, cfg.batch_size * cfg.seq_len,
-            strategy_name=self.name, overlap=overlap,
-        )
+        return _PlaneTrainer(trainer, model, [loader], comm, strategy_name=self.name)
 
 
 class DataParallelStrategy(_PlaneStrategy):

@@ -1,8 +1,9 @@
 """Elastic fault-tolerant training: fault models, supervision, resharding.
 
-The production story this package reproduces (see
-:mod:`repro.parallel.resilient` for the plain checkpoint-restart
-predecessor it generalizes):
+The production story this package reproduces — BaGuaLu's
+checkpoint-restart loop, plus what production schedulers add on top.
+Plain full-width restart is the ``elastic=False`` case of the same
+:class:`~repro.resilience.supervisor.Supervisor`:
 
 * :mod:`repro.simmpi.faults` injects failures — scripted
   (:class:`~repro.simmpi.FaultPlan`) or stochastic
@@ -14,14 +15,15 @@ predecessor it generalizes):
   exclude the node, halve the world, reshard through the
   layout-independent checkpoint, resume;
 * :class:`~repro.resilience.elastic.ElasticStepDriver` makes the
-  shrunken world reproduce the full world's loss trajectory exactly via
-  fold-carry gradient accumulation.
+  shrunken world reproduce the full world's loss trajectory exactly: it
+  feeds the in-plane step
+  (:meth:`~repro.parallel.moda.MoDaTrainer.train_step`) one microbatch
+  per logical rank, which that step accumulates by fold-carry.
 """
 
 from repro.resilience.backoff import BackoffPolicy
 from repro.resilience.elastic import (
     ElasticStepDriver,
-    ElasticStepResult,
     SegmentProgress,
     SegmentSpec,
     run_elastic_segment,
@@ -39,7 +41,6 @@ __all__ = [
     "ElasticRunConfig",
     "ElasticRunResult",
     "ElasticStepDriver",
-    "ElasticStepResult",
     "SegmentProgress",
     "SegmentSpec",
     "Supervisor",

@@ -10,8 +10,9 @@ assignment and the floating-point reduction order, which changes every
 loss after the restore point.
 
 :class:`ElasticStepDriver` avoids both: a world of ``W`` ranks executes a
-*logical* world of ``W0 = k*W`` ranks by running ``k`` accumulation
-microsteps per optimizer step. At microstep ``m``, physical rank ``r``
+*logical* world of ``W0 = k*W`` ranks by feeding the one in-plane step,
+:meth:`~repro.parallel.moda.MoDaTrainer.train_step`, ``k`` accumulation
+microbatches per optimizer step. At microstep ``m``, physical rank ``r``
 plays logical rank ``m*W + r``:
 
 * **data**: the microstep loader reads logical rank ``m*W + r``'s stream
@@ -46,28 +47,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
 from repro.data import ShardedLoader, SyntheticCorpus
 from repro.errors import ConfigError
 from repro.parallel.dist_checkpoint import load_distributed, save_distributed
-from repro.parallel.dp import flatten_grads, unflatten_grads
 from repro.parallel.runner import TrainingRunConfig
-from repro.train.clip import global_grad_norm
+from repro.parallel.strategy import _PlaneTrainer
 
-__all__ = ["ElasticStepDriver", "ElasticStepResult", "SegmentProgress", "SegmentSpec"]
-
-
-@dataclass
-class ElasticStepResult:
-    """Per-rank metrics from one (possibly microstepped) elastic step."""
-
-    step: int
-    loss: float
-    global_loss: float
-    lr: float
-    grad_norm: float
-    microsteps: int
+__all__ = ["ElasticStepDriver", "SegmentProgress", "SegmentSpec"]
 
 
 @dataclass
@@ -100,163 +86,64 @@ class SegmentSpec:
     machine: Any = None
 
 
-class ElasticStepDriver:
-    """Drives ``k = logical_world / world`` accumulation microsteps per step.
+class ElasticStepDriver(_PlaneTrainer):
+    """The in-plane step, replayed for a logical world ``k`` times as wide.
 
     Wraps a built in-plane rank trainer (the strategy registry's
-    ``_PlaneTrainer``: a :class:`~repro.parallel.strategy.HybridTrainer`
-    plus timer/comm), replacing its single-batch step with the fold-carry
-    accumulation described in the module docstring. With
-    ``logical_world == world`` this degenerates to the plain
-    MoDa/Hybrid step (``k=1``) and produces bitwise-identical updates.
+    ``_PlaneTrainer`` around a :class:`~repro.parallel.strategy.HybridTrainer`)
+    and keeps only what is elastic: ``k = logical_world / world`` loaders,
+    one per logical rank this rank plays, and the logical group sizes as
+    gradient divisors. The step itself is the trainer's own fold-carry
+    :meth:`~repro.parallel.moda.MoDaTrainer.train_step`; with
+    ``logical_world == world`` it is the plain step (``k=1``).
     """
 
     def __init__(self, plane, logical_world: int, logical_ep: int, cfg: TrainingRunConfig):
-        trainer = getattr(plane, "trainer", None)
-        if trainer is None or not hasattr(trainer, "sync_groups"):
+        if not isinstance(plane, _PlaneTrainer):
             raise ConfigError(
                 "elastic training needs an in-plane strategy trainer "
                 "(dp/ep/moda); got an incompatible rank trainer"
             )
-        self.trainer = trainer
-        self.model = plane.model
-        self.timer = plane.timer
-        self.comm = plane.comm
-        self.tokens = plane.tokens
-        self.logical_world = int(logical_world)
-        self.logical_ep = int(logical_ep)
-        world = self.comm.size
-        if self.logical_world % world != 0:
+        world = plane.comm.size
+        if logical_world % world != 0:
             raise ConfigError(
-                f"logical world {self.logical_world} must be a multiple of "
+                f"logical world {logical_world} must be a multiple of "
                 f"the physical world {world}"
             )
-        if self.logical_world % self.logical_ep != 0:
+        if logical_world % logical_ep != 0:
             raise ConfigError(
-                f"logical ep {self.logical_ep} must divide logical world "
-                f"{self.logical_world}"
+                f"logical ep {logical_ep} must divide logical world {logical_world}"
             )
-        self.k = self.logical_world // world
-        #: Final divisors: the *logical* group sizes, so accumulated
-        #: gradients average exactly as the full world's would.
-        self.divisors = {
-            "dense": float(self.logical_world),
-            "expert": float(self.logical_world // self.logical_ep),
+        divisors = {
+            "dense": float(logical_world),
+            "expert": float(logical_world // logical_ep),
         }
+        for label, _, _ in plane.trainer.sync_groups:
+            if label not in divisors:
+                raise ConfigError(
+                    f"elastic accumulation cannot average sync group "
+                    f"{label!r} (only dense/expert axes are supported)"
+                )
         corpus = SyntheticCorpus(
             vocab_size=cfg.model.vocab_size,
             predictability=cfg.corpus_predictability,
             seed=cfg.seed,
         )
         # Microstep m reads logical rank (m*W + r)'s data stream.
-        self.loaders = [
+        loaders = [
             ShardedLoader(
                 corpus,
                 cfg.batch_size,
                 cfg.seq_len,
-                dp_rank=m * world + self.comm.rank,
-                dp_size=self.logical_world,
+                dp_rank=m * world + plane.comm.rank,
+                dp_size=logical_world,
             )
-            for m in range(self.k)
+            for m in range(logical_world // world)
         ]
-
-    def train_step(self, step: int) -> ElasticStepResult:
-        """One optimizer step = ``k`` fold-carry accumulation microsteps."""
-        trainer = self.trainer
-        world = trainer.groups.world
-        for label, _, _ in trainer.sync_groups:
-            if label not in self.divisors:
-                raise ConfigError(
-                    f"elastic accumulation cannot average sync group "
-                    f"{label!r} (only dense/expert axes are supported)"
-                )
-        lr = trainer.schedule(trainer.step_count)
-        trainer.optimizer.lr = lr
-
-        acc: dict[str, np.ndarray] = {}
-        loss_fold = 0.0
-        loss_value = 0.0
-        t_forward = t_backward = t_sync = 0.0
-        for m in range(self.k):
-            batch = self.loaders[m].get_batch(step)
-            self.model.zero_grad()
-            if self.timer is not None:
-                self.comm.advance(self.timer.dense_step_time(self.tokens))
-            t0 = world.clock
-            loss = self.model.loss(batch.tokens, batch.targets)
-            loss_value = float(loss.item())
-            t_forward += world.clock - t0
-            t1 = world.clock
-            loss.backward(np.asarray(1.0, dtype=loss.data.dtype))
-            t_backward += world.clock - t1
-            t2 = world.clock
-            for label, params, comm_g in trainer.sync_groups:
-                flat = flatten_grads(params)
-                if comm_g.rank == 0 and m > 0:
-                    # Fold-carry: group rank 0 contributes the carried
-                    # partial sum + its fresh gradient, so the chained
-                    # fold associates exactly like the full-world fold.
-                    flat = acc[label] + flat
-                acc[label] = comm_g.allreduce(
-                    flat, algorithm=trainer.allreduce_algorithm
-                )
-            fold = loss_fold + loss_value if (world.rank == 0 and m > 0) else loss_value
-            loss_fold = float(world.allreduce(fold))
-            t_sync += world.clock - t2
-
-        for label, params, _ in trainer.sync_groups:
-            unflatten_grads(params, acc[label] / self.divisors[label])
-        grad_norm = global_grad_norm(trainer.optimizer.params)
-        trainer.optimizer.step()
-        global_loss = loss_fold / self.logical_world
-
-        context = world.context
-        if world.rank == 0:
-            context.add_phase("forward", t_forward)
-            context.add_phase("backward", t_backward)
-            context.add_phase("grad_sync", t_sync)
-            if context.observing:
-                self._emit_observations(context, step, global_loss)
-
-        result = ElasticStepResult(
-            step=trainer.step_count,
-            loss=loss_value,
-            global_loss=global_loss,
-            lr=lr,
-            grad_norm=grad_norm,
-            microsteps=self.k,
+        super().__init__(
+            plane.trainer, plane.model, loaders, plane.comm,
+            strategy_name="elastic", divisors=divisors,
         )
-        trainer.step_count += 1
-        return result
-
-    def _emit_observations(self, context, step: int, global_loss: float) -> None:
-        """Mirror the strategy adapters' per-step emission for elastic
-        steps, so resilient runs land in the same registry/router as the
-        measured runs (microstep loads are summed — the logical step's
-        totals)."""
-        from repro.parallel.strategy import _imbalance_of
-
-        modules = list(self.model.moe_layers())
-        registry = context.metrics
-        registry.counter("train_steps", strategy="elastic").inc()
-        registry.gauge("train_loss", strategy="elastic").set(global_loss)
-        registry.histogram("train_imbalance", strategy="elastic").observe(
-            _imbalance_of(modules)
-        )
-        if context.router is None:
-            return
-        layer = 0
-        for module in modules:
-            load = getattr(module, "last_global_load", None)
-            if load is None:
-                continue
-            context.router.record(
-                step,
-                layer,
-                load,
-                drop_fraction=float(getattr(module, "last_drop_fraction", 0.0) or 0.0),
-            )
-            layer += 1
 
 
 def run_elastic_segment(comm, spec: SegmentSpec) -> dict[str, Any]:

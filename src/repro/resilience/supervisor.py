@@ -229,6 +229,10 @@ class ElasticRunResult:
 class Supervisor:
     """Drives a training job to completion through failures.
 
+    The one checkpoint-restart loop. With ``cfg.elastic=False`` it
+    always relaunches at full width — BaGuaLu's plain checkpoint-restart;
+    otherwise it also shrinks around a repeat-offender node.
+
     Parameters
     ----------
     cfg:
@@ -240,9 +244,8 @@ class Supervisor:
         injected into every launch. ``None`` = healthy machine.
     fault_plans:
         Alternative scripting hook (supersedes ``faults``):
-        ``fault_plans[i]`` is injected into the i-th launch only, the
-        way :func:`~repro.parallel.resilient.run_resilient_training`
-        tests script deterministic failure sequences.
+        ``fault_plans[i]`` is injected into the i-th launch only, which
+        is how tests script deterministic failure sequences.
     network_factory / machine_factory:
         ``world_size -> NetworkModel / MachineSpec`` for each launch
         (defaults: the Sunway presets). The factories are re-invoked

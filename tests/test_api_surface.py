@@ -185,7 +185,7 @@ class TestKeyAPIsHaveDocstrings:
             "repro.parallel.GPipeRunner",
             "repro.parallel.Trainer3D",
             "repro.parallel.ZeroAdamW",
-            "repro.parallel.run_resilient_training",
+            "repro.resilience.run_elastic_training",
             "repro.parallel.named_optimizer_state",
             "repro.parallel.verify_snapshot",
             "repro.resilience.Supervisor",
