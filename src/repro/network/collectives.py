@@ -16,10 +16,19 @@ from BaGuaLu: they trade extra intra-supernode volume for far fewer
 latency-bound inter-supernode messages, which wins at scale and loses for
 very large per-pair payloads — producing the crossover that experiment F3
 demonstrates.
+
+A node set may be any sequence of node ids; it is sorted and deduplicated
+first, and every helper below works on any sorted sequence. A
+positive-step ``range`` already is sorted and duplicate-free, so it is
+priced from its structure in O(groups): its span level comes from its two
+ends (:meth:`Topology.span_level_of`) and its members per group are range
+slices found by bisection. A 96,000-node range thus costs about one span
+lookup per supernode, not one per node.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Sequence
 
@@ -51,7 +60,10 @@ def _span_link(topo: Topology, nodes: Sequence[int]) -> LinkSpec | None:
     return topo.link_at(span)
 
 
-def _unique(nodes: Sequence[int]) -> list[int]:
+def _unique(nodes: Sequence[int]) -> Sequence[int]:
+    """``nodes`` sorted and duplicate-free; a positive-step range already is."""
+    if isinstance(nodes, range) and nodes.step > 0:
+        return nodes
     return sorted(set(int(n) for n in nodes))
 
 
@@ -112,10 +124,20 @@ def cost_tree_allreduce(topo: Topology, nbytes: float, nodes: Sequence[int]) -> 
 
 def _partition_by_group(
     topo: Topology, nodes: Sequence[int], level: int
-) -> dict[int, list[int]]:
-    groups: dict[int, list[int]] = {}
-    for n in nodes:
-        groups.setdefault(topo.group_of(n, level), []).append(n)
+) -> dict[int, Sequence[int]]:
+    """Slices of sorted, duplicate-free ``nodes``, keyed by ``level`` unit.
+
+    Bisects at each group boundary, so the cost is O(groups * log n) and
+    the slices of a range stay ranges.
+    """
+    size = topo.group_size(level)
+    groups: dict[int, Sequence[int]] = {}
+    start = 0
+    while start < len(nodes):
+        group = topo.group_of(nodes[start], level)
+        stop = bisect.bisect_left(nodes, (group + 1) * size, start)
+        groups[group] = nodes[start:stop]
+        start = stop
     return groups
 
 
@@ -151,7 +173,7 @@ def cost_hierarchical_allreduce(
     for members in groups.values():
         intra_rs = max(intra_rs, cost_reduce_scatter(topo, nbytes, members))
         intra_ag = max(intra_ag, cost_allgather(topo, chunk, members))
-    leaders = [min(members) for members in groups.values()]
+    leaders = [members[0] for members in groups.values()]
     inter = cost_ring_allreduce(topo, chunk, leaders)
     return intra_rs + inter + intra_ag
 

@@ -67,7 +67,12 @@ class NetworkModel:
             return self.node_of_rank(rank)
         return rank % self.topology.num_nodes
 
-    def _nodes(self, ranks: Sequence[int]) -> list[int]:
+    def _nodes(self, ranks: Sequence[int]) -> Sequence[int]:
+        """Leaf nodes of ``ranks``; a range the default mapping fixes is kept."""
+        if self.node_of_rank is None and isinstance(ranks, range):
+            ends = (ranks[0], ranks[-1]) if ranks else (0, 0)
+            if 0 <= min(ends) and max(ends) < self.topology.num_nodes:
+                return ranks
         return [self.node(r) for r in ranks]
 
     # ------------------------------------------------------------------ #

@@ -161,16 +161,22 @@ class Topology:
                 break
         return span
 
-    def span_level_of(self, nodes: Sequence[int]) -> int:
-        """Outermost level any pair in ``nodes`` must cross (-1 if <=1 node)."""
-        nodes = list(nodes)
+    def span_level_of(self, nodes: Iterable[int]) -> int:
+        """Outermost level any pair in ``nodes`` must cross (-1 if <=1 node).
+
+        This is ``span_level(min(nodes), max(nodes))``. Node ids order the
+        outermost digit first, so ``n // group_size(level)`` is monotone in
+        ``n``: every node between ``lo`` and ``hi`` shares the level units
+        that ``lo`` and ``hi`` share, and no pair of the set can differ at
+        a level above the one where ``lo`` and ``hi`` differ. A ``range``
+        is read at its two ends in O(1); ``span_level`` is symmetric, so
+        its direction does not matter.
+        """
+        if not isinstance(nodes, range):
+            nodes = sorted(nodes)
         if len(nodes) <= 1:
             return -1
-        lo = min(nodes)
-        span = -1
-        for n in nodes[1:] if nodes[0] == lo else nodes:
-            span = max(span, self.span_level(lo, n))
-        return span
+        return self.span_level(nodes[0], nodes[-1])
 
     def link_at(self, level: int) -> LinkSpec:
         """Link spec traversed by traffic spanning ``level``."""

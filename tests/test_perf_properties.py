@@ -23,14 +23,14 @@ def plan(nodes=96_000, mb=1, **kw):
 
 
 @given(micro_batches)
-@settings(max_examples=10, deadline=None)
+@settings(deadline=None)
 def test_achieved_never_exceeds_peak(mb):
     achieved = SM.achieved_flops(plan(mb=mb))
     assert achieved <= MACHINE.peak_flops(CFG.dtype)
 
 
 @given(micro_batches)
-@settings(max_examples=10, deadline=None)
+@settings(deadline=None)
 def test_step_time_monotone_in_batch(mb):
     t1 = SM.step_time(plan(mb=mb))
     t2 = SM.step_time(plan(mb=mb * 2))
@@ -38,7 +38,7 @@ def test_step_time_monotone_in_batch(mb):
 
 
 @given(node_counts)
-@settings(max_examples=10, deadline=None)
+@settings(deadline=None)
 def test_throughput_monotone_in_nodes(nodes):
     sm = StepModel(CFG, MACHINE.with_nodes(nodes), sunway_network(nodes))
     small = sm.tokens_per_second(plan(nodes=nodes, mb=4))
@@ -49,7 +49,7 @@ def test_throughput_monotone_in_nodes(nodes):
 
 
 @given(micro_batches)
-@settings(max_examples=10, deadline=None)
+@settings(deadline=None)
 def test_efficiency_monotone_in_batch(mb):
     """Bigger micro-batches amortize communication: higher sustained FLOPs."""
     a = SM.achieved_flops(plan(mb=mb))
@@ -58,7 +58,7 @@ def test_efficiency_monotone_in_batch(mb):
 
 
 @given(node_counts)
-@settings(max_examples=10, deadline=None)
+@settings(deadline=None)
 def test_memory_params_decrease_with_ep(nodes):
     instances = CFG.num_moe_layers * CFG.num_experts
     small_ep = min(nodes // 2 or 1, instances)
@@ -81,7 +81,7 @@ def test_memory_params_decrease_with_ep(nodes):
 
 
 @given(st.integers(min_value=1, max_value=1_000_000))
-@settings(max_examples=20, deadline=None)
+@settings(deadline=None)
 def test_step_flops_additive(tokens):
     a = step_flops(CFG, tokens)
     b = step_flops(CFG, tokens * 2)
@@ -89,7 +89,7 @@ def test_step_flops_additive(tokens):
 
 
 @given(micro_batches, st.floats(min_value=1.0, max_value=3.0))
-@settings(max_examples=15, deadline=None)
+@settings(deadline=None)
 def test_imbalance_monotone(mb, imbalance):
     base = SM.step_time(plan(mb=mb))
     skew = SM.step_time(plan(mb=mb, load_imbalance=imbalance))
