@@ -60,6 +60,7 @@ __all__ = [
     "ElasticRunResult",
     "Supervisor",
     "classify_failure",
+    "crash_time",
     "run_elastic_training",
 ]
 
@@ -84,6 +85,22 @@ def classify_failure(exc: BaseException) -> str:
     if isinstance(exc, OverflowDetected):
         return "overflow"
     return type(exc).__name__
+
+
+def crash_time(exc: BaseException) -> float:
+    """Virtual seconds into a crashed launch at which ``exc`` ended it.
+
+    A failure attributed to a rank (``exc.rank``) is dated at that rank's
+    own clock, which stops at its kill. The survivors' clocks are not
+    used: they run on through collectives without the dead rank until
+    they see the abort, so their values depend on thread scheduling.
+    Unattributed failures (deadlocks, overflows) take the furthest clock.
+    """
+    clocks = getattr(exc, "partial_clocks", None) or [0.0]
+    rank = getattr(exc, "rank", None)
+    if rank is not None and 0 <= rank < len(clocks):
+        return clocks[rank]
+    return max(clocks)
 
 
 @dataclass(frozen=True)
@@ -416,8 +433,7 @@ class Supervisor:
                 attempt += 1
                 restarts += 1
                 consecutive += 1
-                partial_clocks = getattr(exc, "partial_clocks", None) or [0.0]
-                crashed_time = max(partial_clocks)
+                crashed_time = crash_time(exc)
                 partial_context = getattr(exc, "partial_context", None)
                 if partial_context is not None:
                     session.absorb(partial_context, clock_offset=clock)

@@ -49,7 +49,7 @@ from typing import Any
 from repro.errors import CommunicatorError, ConfigError, ReproError
 from repro.obs.slo import SLOMonitor, SLOObjective, default_burn_windows
 from repro.resilience.backoff import BackoffPolicy
-from repro.resilience.supervisor import classify_failure
+from repro.resilience.supervisor import classify_failure, crash_time
 from repro.serve.autoscaler import Autoscaler, AutoscalerConfig
 from repro.serve.engine import ServeConfig, build_requests, run_serving
 from repro.serve.router import ReplicaRouter
@@ -461,8 +461,7 @@ def run_fleet_serving(cfg: FleetConfig, network: Any | None = None) -> FleetResu
                                  faults=faults[replica])
         except ReproError as exc:
             crashes += 1
-            partial_clocks = getattr(exc, "partial_clocks", None) or [0.0]
-            crash_t = seg_t0 + max(partial_clocks)
+            crash_t = seg_t0 + crash_time(exc)
             partial_context = getattr(exc, "partial_context", None)
             if partial_context is not None:
                 session.absorb(partial_context, clock_offset=seg_t0)

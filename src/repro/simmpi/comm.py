@@ -12,8 +12,14 @@ mpi4py code. Two differences:
   shared-memory implementation behave like a real network.
 
 Concurrency model: one Python thread per rank; all shared state is guarded
-by a single world lock + condition variable (rank counts here are small, so
-a global lock is simpler and plenty fast).
+by a single world lock. Ranks blocked in a receive wait on the world's
+condition variable, which every send notifies. Ranks blocked in a
+collective wait on their communicator's own condition (on the same lock),
+which only the last arrival of a round notifies, so a round wakes its own
+members once and nobody else. Aborts and deadline expiry wake every
+condition of the world. The shared work of a round is done once: the
+first member to leave the wait folds an allreduce, and each communicator
+prices a (kind, bytes, algorithm) triple on the network model once.
 """
 
 from __future__ import annotations
@@ -51,10 +57,13 @@ _REDUCERS: dict[str, Callable[[Any, Any], Any]] = {
 }
 
 
-def _reduce_payloads(values: Sequence[Any], op: str) -> Any:
-    """Fold ``values`` with the named reduction, left to right."""
+def _check_op(op: str) -> None:
     if op not in _REDUCERS:
         raise CommunicatorError(f"unknown reduction op {op!r}")
+
+
+def _reduce_payloads(values: Sequence[Any], op: str) -> Any:
+    """Fold ``values`` with the named (checked) reduction, left to right."""
     fn = _REDUCERS[op]
     acc = values[0]
     for v in values[1:]:
@@ -86,7 +95,9 @@ class _World:
         self.size = size
         self.network = network
         self.lock = threading.Lock()
+        #: Mailbox condition; communicators register theirs in ``conds``.
         self.cv = threading.Condition(self.lock)
+        self.conds: list[threading.Condition] = [self.cv]
         self.mailboxes: list[list[_Envelope]] = [[] for _ in range(size)]
         self.clocks: list[float] = [0.0] * size
         self.aborted = False
@@ -129,29 +140,34 @@ class _World:
     # -- abort / wait helpers (call with lock held) --------------------- #
 
     def abort(self, exc: BaseException) -> None:
-        with self.cv:
-            if not self.aborted:
-                self.aborted = True
-                self.abort_exc = exc
-            self.cv.notify_all()
+        with self.lock:
+            self.fail(exc)
+
+    def fail(self, exc: BaseException) -> BaseException:
+        """Abort with ``exc`` unless already aborted, wake every waiter on
+        every condition, and return ``exc`` for raising."""
+        if not self.aborted:
+            self.aborted = True
+            self.abort_exc = exc
+        for cv in self.conds:
+            cv.notify_all()
+        return exc
 
     def check_live(self) -> None:
         if self.aborted:
             raise RankAbort("another rank aborted the SPMD program")
 
-    def wait_for(self, predicate: Callable[[], bool], what: str) -> None:
-        """Block until ``predicate()`` under the world condition variable."""
+    def wait_for(self, predicate: Callable[[], bool], what: str,
+                 cv: threading.Condition | None = None) -> None:
+        """Block on ``cv`` (default: the mailbox condition) until ``predicate()``."""
+        cv = cv or self.cv
         while not predicate():
             self.check_live()
             remaining = self.deadline - time.monotonic()
             if remaining <= 0:
-                exc = DeadlockError(f"timed out waiting for {what}")
                 # Unblock everyone else, then fail this rank.
-                self.aborted = True
-                self.abort_exc = exc
-                self.cv.notify_all()
-                raise exc
-            self.cv.wait(min(remaining, 0.2))
+                raise self.fail(DeadlockError(f"timed out waiting for {what}"))
+            cv.wait(min(remaining, 0.2))
         self.check_live()
 
 
@@ -184,6 +200,13 @@ class _CommState:
         self.rank_of_world = {w: i for i, w in enumerate(self.members)}
         self.rounds: dict[int, _Round] = {}
         self.seq = [0] * len(self.members)
+        #: Collective rounds of this communicator wait here.
+        self.cv = threading.Condition(world.lock)
+        #: Network price per (kind, nbytes, algorithm); the network and
+        #: the member list never change for the state's lifetime.
+        self.costs: dict[tuple[str, float, str | None], float] = {}
+        with world.lock:
+            world.conds.append(self.cv)
         with _CommState._context_lock:
             self.context_id = _CommState._next_context_id
             _CommState._next_context_id += 1
@@ -543,19 +566,24 @@ class Comm:
     # Collective rendezvous machinery
     # ------------------------------------------------------------------ #
 
-    def _rendezvous(self, op: str, contribution: Any) -> tuple[dict[int, Any], float]:
+    def _rendezvous(self, op: str, contribution: Any,
+                    fold: str | None = None) -> tuple[Any, float]:
         """Synchronize with all members; returns (contributions, t_start).
 
         ``contributions`` maps group rank -> (cloned) payload. ``t_start``
         is the max member clock at entry; the caller is responsible for
         advancing clocks by the operation's modelled cost via
-        :meth:`_finish_collective`.
+        :meth:`_finish_collective`. With ``fold`` (a checked reduction
+        op), the first member to leave the wait reduces the contributions
+        in group-rank order, once per round, and each member gets its own
+        copy of that result in place of the contributions.
         """
         self._tick_op()
         state = self._state
         world = state.world
         me = self._group_rank
-        with world.cv:
+        size = len(state.members)
+        with world.lock:
             world.check_live()
             seq = state.seq[me]
             state.seq[me] += 1
@@ -565,31 +593,33 @@ class Comm:
                 rnd.op = op
                 state.rounds[seq] = rnd
             elif rnd.op != op:
-                exc = CommunicatorError(
+                raise world.fail(CommunicatorError(
                     f"collective mismatch on comm {state.context_id}: rank {me} "
                     f"called {op!r} but round {seq} started as {rnd.op!r}"
-                )
-                world.aborted = True
-                world.abort_exc = exc
-                world.cv.notify_all()
-                raise exc
+                ))
             if me in rnd.contribs:
                 raise CommunicatorError(
                     f"rank {me} contributed twice to collective round {seq}"
                 )
             rnd.contribs[me] = clone_payload(contribution)
             rnd.clocks[me] = world.clocks[self.world_rank]
-            world.cv.notify_all()
+            if len(rnd.contribs) == size:
+                state.cv.notify_all()
             world.wait_for(
-                lambda: len(rnd.contribs) == len(state.members),
-                f"collective {op!r} round {seq} ({len(rnd.contribs)}/{len(state.members)} arrived)",
+                lambda: len(rnd.contribs) == size,
+                f"collective {op!r} round {seq} ({len(rnd.contribs)}/{size} arrived)",
+                state.cv,
             )
+            if fold is not None and not rnd.computed:
+                rnd.result = _reduce_payloads([rnd.contribs[i] for i in range(size)], fold)
+                rnd.computed = True
             t_start = max(rnd.clocks.values())
-            contribs = rnd.contribs
             rnd.pickups += 1
-            if rnd.pickups == len(state.members):
+            if rnd.pickups == size:
                 del state.rounds[seq]
-            return contribs, t_start
+        if fold is None:
+            return rnd.contribs, t_start
+        return clone_payload(rnd.result), t_start
 
     def _finish_collective(self, op: str, t_start: float, cost: float, nbytes: int) -> None:
         """Advance this rank's clock to the collective's completion time."""
@@ -603,9 +633,19 @@ class Comm:
                 world.stats.record_collective(op, nbytes)
 
     def _collective_cost(self, kind: str, nbytes: float, **kw: Any) -> float:
-        net = self._state.world.network
+        """Network price of a collective on this communicator, memoized."""
+        state = self._state
+        net = state.world.network
         if net is None:
             return 0.0
+        key = (kind, nbytes, kw.get("algorithm"))
+        with state.world.lock:
+            cost = state.costs.get(key)
+            if cost is None:
+                cost = state.costs[key] = self._price(net, kind, nbytes, **kw)
+        return cost
+
+    def _price(self, net: Any, kind: str, nbytes: float, **kw: Any) -> float:
         ranks = self._state.members
         if kind == "barrier":
             return net.barrier_time(ranks)
@@ -682,7 +722,8 @@ class Comm:
     def reduce(self, value: Any, op: str = SUM, root: int = 0) -> Any:
         """Reduce to ``root`` (None elsewhere)."""
         self._check_peer(root)
-        contribs, t0 = self._rendezvous("reduce", value)
+        _check_op(op)
+        contribs, t0 = self._rendezvous(f"reduce:{op}", value)
         nbytes = payload_nbytes(value)
         self._finish_collective("reduce", t0, self._collective_cost("reduce", nbytes), nbytes)
         if self.rank != root:
@@ -695,11 +736,12 @@ class Comm:
         ``algorithm`` optionally forces "ring" / "tree" / "hierarchical"
         for the timing model (functional result is identical).
         """
-        contribs, t0 = self._rendezvous("allreduce", value)
+        _check_op(op)  # the op is part of the round's identity
+        result, t0 = self._rendezvous(f"allreduce:{op}", value, fold=op)
         nbytes = payload_nbytes(value)
         cost = self._collective_cost("allreduce", nbytes, algorithm=algorithm)
         self._finish_collective("allreduce", t0, cost, nbytes)
-        return _reduce_payloads([contribs[i] for i in range(self.size)], op)
+        return result
 
     def reduce_scatter(self, chunks: Sequence[Any], op: str = SUM) -> Any:
         """Each rank passes ``size`` chunks; returns the reduction of its own.
@@ -711,7 +753,8 @@ class Comm:
             raise CommunicatorError(
                 f"reduce_scatter needs {self.size} chunks, got {len(chunks)}"
             )
-        contribs, t0 = self._rendezvous("reduce_scatter", list(chunks))
+        _check_op(op)
+        contribs, t0 = self._rendezvous(f"reduce_scatter:{op}", list(chunks))
         nbytes = payload_nbytes(chunks)
         cost = self._collective_cost("reduce_scatter", nbytes)
         self._finish_collective("reduce_scatter", t0, cost, nbytes)
@@ -732,7 +775,8 @@ class Comm:
         total, per_pair = self._alltoall_payload(send_list)
         cost = self._collective_cost("alltoall", per_pair, algorithm=algorithm)
         self._finish_collective("alltoall", t0, cost, total)
-        return [clone_payload(contribs[i][self.rank]) for i in range(self.size)]
+        # Slots were cloned on entry and each has exactly one reader.
+        return [contribs[i][self.rank] for i in range(self.size)]
 
     def _alltoall_payload(self, send_list: Sequence[Any]) -> tuple[int, float]:
         """(total off-rank bytes, mean per-destination bytes) of an exchange.
@@ -776,17 +820,17 @@ class Comm:
         contribs, t0 = self._rendezvous("ialltoall", list(send_list))
         total, per_pair = self._alltoall_payload(send_list)
         cost = self._collective_cost("alltoall", per_pair, algorithm=algorithm)
-        value = [clone_payload(contribs[i][self.rank]) for i in range(self.size)]
+        value = [contribs[i][self.rank] for i in range(self.size)]
         return self._issue_collective("ialltoall", value, t0, cost, total)
 
     def iallreduce(
         self, value: Any, op: str = SUM, algorithm: str | None = None
     ) -> _CollectiveRequest:
         """Nonblocking allreduce; ``request.wait()`` yields the reduction."""
-        contribs, t0 = self._rendezvous("iallreduce", value)
+        _check_op(op)
+        result, t0 = self._rendezvous(f"iallreduce:{op}", value, fold=op)
         nbytes = payload_nbytes(value)
         cost = self._collective_cost("allreduce", nbytes, algorithm=algorithm)
-        result = _reduce_payloads([contribs[i] for i in range(self.size)], op)
         return self._issue_collective("iallreduce", result, t0, cost, nbytes)
 
     def iallgather(self, obj: Any) -> _CollectiveRequest:

@@ -35,6 +35,7 @@ from repro.resilience import (
     classify_failure,
     run_elastic_training,
 )
+from repro.resilience.supervisor import crash_time
 from repro.simmpi import FaultModel, FaultPlan, FlakyLink, run_spmd
 from repro.train.metrics import MetricsLogger, read_jsonl
 
@@ -173,6 +174,22 @@ class TestClassification:
         assert classify_failure(DeadlockError("x")) == "deadlock"
         assert classify_failure(OverflowDetected("x")) == "overflow"
         assert classify_failure(CommunicatorError("x")) == "CommunicatorError"
+
+    def test_crash_dated_at_the_dead_ranks_clock(self):
+        """Survivors run ahead of the dead rank; the date must not follow them."""
+
+        def program(comm):
+            comm.advance(1.0 if comm.rank == 1 else 5.0)
+            comm.barrier()  # rank 1 dies entering it
+
+        with pytest.raises(FaultInjected) as info:
+            run_spmd(program, 4, faults=FaultPlan().kill_rank(1, at_op=0))
+        exc = info.value
+        assert exc.partial_clocks == [5.0, 1.0, 5.0, 5.0]
+        assert crash_time(exc) == 1.0
+        unattributed = DeadlockError("x")
+        unattributed.partial_clocks = [2.0, 3.0]
+        assert crash_time(unattributed) == 3.0
 
     def test_programming_error_propagates(self, tmp_path):
         """A TypeError inside the rank program must never trigger a restart."""
